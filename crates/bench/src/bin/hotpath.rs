@@ -725,7 +725,11 @@ fn bench_shard_dispatch(_samples: usize) -> Comparison {
     for s in &sockets {
         let ep = Epoll::new().expect("per-engine epoll");
         ep.add(s).expect("register engine socket");
-        while ep.wait_tagged(1000, &mut tokens).expect("epoll wait") == 0 {}
+        while ep
+            .wait_tagged(Duration::from_secs(1), &mut tokens)
+            .expect("epoll wait")
+            == 0
+        {}
         seed_wakeups += 1;
     }
 
@@ -743,7 +747,11 @@ fn bench_shard_dispatch(_samples: usize) -> Comparison {
     let mut shard_wakeups = 0u64;
     let mut buf = [0u8; 64];
     while remaining > 0 {
-        while shared.wait_tagged(1000, &mut tokens).expect("epoll wait") == 0 {}
+        while shared
+            .wait_tagged(Duration::from_secs(1), &mut tokens)
+            .expect("epoll wait")
+            == 0
+        {}
         shard_wakeups += 1;
         for &t in &tokens {
             let (engine, _) = unpack_token(t);

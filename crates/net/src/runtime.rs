@@ -307,24 +307,25 @@ pub fn spawn_process(spec: ProcessSpec) -> io::Result<ProcessHandle> {
 /// Bound on each staged-arrival reservoir (per channel, per round).
 const STAGE_CAP: usize = 1024;
 
-/// Upper bound on a single `epoll_wait` inside the round loop. Bounds the
-/// latency of noticing a stop request (and of the round-boundary check)
-/// without reintroducing the 1 kHz sleep-poll spin: a quiet round makes at
-/// most ~40 wakeups per second.
-pub(crate) const EPOLL_WAIT_CAP_MS: u128 = 25;
+/// Upper bound on a single epoll wait inside the round loops. Bounds the
+/// latency of noticing a stop request without reintroducing the 1 kHz
+/// sleep-poll spin: a quiet loop makes at most ~40 wakeups per second.
+pub(crate) const EPOLL_WAIT_CAP: Duration = Duration::from_millis(25);
 
 /// The receive channels a node owns. The discriminant is packed into the
 /// low bits of a shard's epoll registration token (see [`pack_token`]), so
 /// a shared event loop can route each readiness event straight to the
-/// owning engine's drain for exactly that channel.
+/// owning engine's drain for exactly that channel (and, for the pool,
+/// exactly that socket).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ChannelClass {
     /// Well-known pull port (stages `PullRequest`s).
     WkPull,
     /// Well-known push port (stages `PushOffer`s).
     WkPush,
-    /// The rotating random-port pool (processed immediately; one token
-    /// covers the whole pool, the drain visits every live pool socket).
+    /// The rotating random-port pool (processed immediately). Each pool
+    /// socket registers under its own [`pool_token`], so a wakeup drains
+    /// only the concealed port that became readable.
     Pool,
     /// Fixed pull-reply port (no-random-ports ablation only).
     AbPullReply,
@@ -370,18 +371,52 @@ impl ChannelClass {
     }
 }
 
+/// Largest engine index an epoll token can carry (45 bits — far beyond
+/// any realistic shard width).
+pub const MAX_TOKEN_ENGINE: usize = (1 << 45) - 1;
+
+/// Bit offset of the pool port within a token.
+const TOKEN_PORT_SHIFT: u32 = 48;
+
 /// Packs an engine index and a channel class into an epoll registration
-/// token: `(engine << 3) | class`. 61 bits of engine index is far beyond
-/// any realistic shard width.
+/// token: `(port << 48) | (engine << 3) | class`, with port 0 here (pool
+/// sockets use [`pool_token`]).
+///
+/// # Panics
+///
+/// Panics if `engine` exceeds [`MAX_TOKEN_ENGINE`].
 pub fn pack_token(engine: usize, class: ChannelClass) -> u64 {
+    assert!(
+        engine <= MAX_TOKEN_ENGINE,
+        "engine index {engine} overflows a token"
+    );
     ((engine as u64) << 3) | class.code()
 }
 
-/// Unpacks an epoll registration token back into `(engine index, class)`.
-/// The class is `None` for a code no [`ChannelClass`] uses (a foreign
+/// The token of one pool socket: [`ChannelClass::Pool`] plus the port the
+/// socket is bound to, so [`NodeCore::drain_token`] drains that socket
+/// alone.
+///
+/// # Panics
+///
+/// Panics if `engine` exceeds [`MAX_TOKEN_ENGINE`].
+pub fn pool_token(engine: usize, port: u16) -> u64 {
+    (u64::from(port) << TOKEN_PORT_SHIFT) | pack_token(engine, ChannelClass::Pool)
+}
+
+/// Unpacks an epoll registration token into `(engine index, class)`. The
+/// class is `None` for a code no [`ChannelClass`] uses (a foreign
 /// registration); shard loops skip those.
 pub fn unpack_token(token: u64) -> (usize, Option<ChannelClass>) {
-    ((token >> 3) as usize, ChannelClass::from_code(token & 0x7))
+    (
+        ((token >> 3) as usize) & MAX_TOKEN_ENGINE,
+        ChannelClass::from_code(token & 0x7),
+    )
+}
+
+/// The pool port carried by a token (0 for the fixed channels).
+pub fn token_port(token: u64) -> u16 {
+    (token >> TOKEN_PORT_SHIFT) as u16
 }
 
 /// Stages one arrival into its bounded per-channel reservoir. Reservoir
@@ -462,7 +497,7 @@ fn advance_deadline(
 /// Owns the engine, sockets, staged-arrival reservoirs and per-node stats,
 /// and exposes the round loop as discrete steps — [`NodeCore::next_deadline`],
 /// [`NodeCore::start_round`], [`NodeCore::drain_all`] /
-/// [`NodeCore::drain_class`], [`NodeCore::finish_round`] — so that a
+/// [`NodeCore::drain_token`], [`NodeCore::finish_round`] — so that a
 /// driver can interleave many nodes on one thread. [`spawn_process`]
 /// drives one core per thread; [`crate::shard`] drives N cores from a
 /// timer wheel and a shared epoll instance.
@@ -692,8 +727,9 @@ impl NodeCore {
     /// Registers every receive socket with a *shared* shard epoll, tagging
     /// each registration with `pack_token(engine, class)` so the shard's
     /// event loop can dispatch readiness straight to this engine. Pool
-    /// sockets bound later in the node's lifetime inherit the pool token.
-    /// All-or-nothing, like [`NodeCore::register_with`].
+    /// sockets, bound later in the node's lifetime, each register under
+    /// their own `pool_token(engine, port)`. All-or-nothing, like
+    /// [`NodeCore::register_with`].
     pub fn register_tagged(&mut self, ep: &Arc<sys::Epoll>, engine: usize) -> bool {
         let mut ok = ep
             .add_tagged(&self.sockets.pull, pack_token(engine, ChannelClass::WkPull))
@@ -719,8 +755,7 @@ impl NodeCore {
                     .is_ok();
         }
         if ok {
-            self.pool
-                .set_epoll_tagged(ep.clone(), pack_token(engine, ChannelClass::Pool));
+            self.pool.set_epoll_tagged(ep.clone(), engine);
         }
         ok
     }
@@ -800,24 +835,27 @@ impl NodeCore {
             self.drain_staging(ChannelClass::AbPushReply, rx, scratch);
             self.drain_staging(ChannelClass::AbPushData, rx, scratch);
         }
-        self.drain_pool(rx, scratch);
+        self.drain_pool(None, rx, scratch);
         self.send_out(send_socket, tx);
         self.deliver();
     }
 
-    /// Drains one receive channel (for token-directed shard dispatch),
-    /// sending any responses it generated and flushing deliveries.
-    pub fn drain_class(
+    /// Drains the one socket an epoll token names (for token-directed
+    /// shard dispatch): a fixed channel, or the single pool socket bound
+    /// to the token's port. Sends any responses it generated and flushes
+    /// deliveries. Tokens with an unknown class are ignored.
+    pub fn drain_token(
         &mut self,
-        class: ChannelClass,
+        token: u64,
         rx: &mut BatchRx,
         scratch: &mut [u8],
         send_socket: &UdpSocket,
         tx: &mut BatchTx,
     ) {
-        match class {
-            ChannelClass::Pool => self.drain_pool(rx, scratch),
-            attackable => self.drain_staging(attackable, rx, scratch),
+        match unpack_token(token).1 {
+            Some(ChannelClass::Pool) => self.drain_pool(Some(token_port(token)), rx, scratch),
+            Some(attackable) => self.drain_staging(attackable, rx, scratch),
+            None => return,
         }
         if !self.outs.is_empty() {
             self.send_out(send_socket, tx);
@@ -861,10 +899,11 @@ impl NodeCore {
         });
     }
 
-    /// Drains the random-port pool. Kind must match the port's allocated
-    /// purpose; matches are processed immediately (the adversary cannot
-    /// contend on concealed ports, and immediate processing gives the
-    /// model's same-round pull-replies).
+    /// Drains the random-port pool — every live socket, or only the one
+    /// bound to `port`. Kind must match the port's allocated purpose;
+    /// matches are processed immediately (the adversary cannot contend on
+    /// concealed ports, and immediate processing gives the model's
+    /// same-round pull-replies).
     ///
     /// Pool sockets accept both bare gossip datagrams and MTU-packed
     /// frames regardless of this node's own packing mode, so mixed
@@ -873,7 +912,7 @@ impl NodeCore {
     /// the claimed sender's key and the inner messages then skip
     /// per-message source MACs (the frame sender is proven honest, and
     /// honest members only pack messages they already verified).
-    fn drain_pool(&mut self, rx: &mut BatchRx, scratch: &mut [u8]) {
+    fn drain_pool(&mut self, port: Option<u16>, rx: &mut BatchRx, scratch: &mut [u8]) {
         let Self {
             pool,
             stats,
@@ -882,7 +921,7 @@ impl NodeCore {
             rx_frame_arena,
             ..
         } = self;
-        pool.drain(rx, scratch, |purpose, bytes| {
+        pool.drain(port, rx, scratch, |purpose, bytes| {
             if codec::is_frame(bytes) {
                 let frame = match codec::decode_frame(bytes) {
                     Ok(frame) => frame,
@@ -1327,6 +1366,7 @@ fn run_process(
         None
     };
 
+    let mut tokens = Vec::new();
     let mut deadline = Instant::now();
     while !stop.load(Ordering::Relaxed) {
         deadline = core.next_deadline(deadline, Instant::now());
@@ -1341,18 +1381,15 @@ fn run_process(
             }
             match &epoll {
                 // Batched path: block until any live socket is readable or
-                // the round deadline nears — quiet rounds make a handful
+                // the round deadline arrives — quiet rounds make a handful
                 // of wakeups instead of a 1 kHz sleep-poll spin, flooded
                 // rounds wake once per kernel batch. The wait is capped so
-                // a stop request is still honored promptly, and the final
-                // sub-millisecond remainder busy-polls (epoll timeouts are
-                // whole milliseconds).
+                // a stop request is still honored promptly. The tokens are
+                // not needed: the next pass drains every socket.
                 Some(ep) => {
                     let remaining = deadline.saturating_duration_since(now);
-                    let wait_ms = remaining.as_millis().min(EPOLL_WAIT_CAP_MS) as i32;
-                    if wait_ms >= 1 {
-                        let _ = ep.wait(wait_ms);
-                    }
+                    tokens.clear();
+                    let _ = ep.wait_tagged(remaining.min(EPOLL_WAIT_CAP), &mut tokens);
                 }
                 // Fallback: the seed's fixed-interval sleep-poll.
                 None => std::thread::sleep(config.poll),

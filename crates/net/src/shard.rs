@@ -1,15 +1,17 @@
 //! The sharded (multiplexed) runtime: one event loop drives many engines.
 //!
 //! A *shard* owns N [`NodeCore`]s on a single OS thread. Every receive
-//! socket of every engine is registered in one shared epoll instance with
-//! a token of `pack_token(engine, class)`, so a readiness event routes
-//! straight to the owning engine's drain for exactly that channel — one
-//! `epoll_pwait` wakeup serves datagram work for many engines. Round
-//! starts fire from a per-shard [`TimerWheel`] (a binary heap of
-//! fixed-cadence deadlines), replacing N per-thread sleeps: the loop
-//! blocks until the earliest deadline across all engines or until any
-//! socket is readable, eliminating the per-node sub-millisecond busy-poll
-//! remainder.
+//! socket of every engine is registered in one shared epoll instance under
+//! its own token — `pack_token(engine, class)` for the fixed channels,
+//! `pool_token(engine, port)` for each rotating pool socket — so a
+//! readiness event routes straight to the one socket that became readable
+//! and one wakeup serves datagram work for many engines. Round starts fire
+//! from a per-shard [`TimerWheel`] (a binary heap of fixed-cadence
+//! deadlines), replacing N per-thread sleeps: the loop blocks until the
+//! earliest deadline across all engines or until any socket is readable,
+//! and no longer. The wait has nanosecond resolution (`epoll_pwait2`, see
+//! [`sys::Epoll::wait_tagged`]), so the last sub-millisecond before a
+//! deadline is slept, not spun.
 //!
 //! Behavior is decision-equivalent to the per-thread runtime: both drive
 //! the same [`NodeCore`] methods in the same order, with the same
@@ -36,7 +38,7 @@ use drum_trace::{names, Counter};
 
 use crate::codec;
 use crate::runtime::{
-    seed_of, unpack_token, Delivery, NetStats, NodeCore, ProcessSpec, EPOLL_WAIT_CAP_MS,
+    seed_of, unpack_token, Delivery, NetStats, NodeCore, ProcessSpec, EPOLL_WAIT_CAP,
 };
 use crate::sys;
 use crate::transport::{bind_ephemeral, BatchRx, BatchTx};
@@ -274,9 +276,10 @@ impl ShardCore {
     }
 
     /// One I/O pass: block until any socket is readable or the earliest
-    /// wheel deadline nears (capped like the per-thread loop), then
-    /// dispatch each ready token to the owning engine's channel drain. On
-    /// the fallback path, drain every engine and sleep one poll interval.
+    /// wheel deadline arrives (capped like the per-thread loop), then hand
+    /// each ready token to the owning engine, which drains exactly the
+    /// socket it names. On the fallback path, drain every engine and sleep
+    /// one poll interval.
     pub fn poll_io(&mut self, now: Instant) {
         let until = self
             .wheel
@@ -285,29 +288,21 @@ impl ShardCore {
             .unwrap_or(self.poll);
         match self.epoll.clone() {
             Some(ep) => {
-                // A timeout of 0 keeps the sub-millisecond remainder a
-                // non-blocking drain instead of an overshooting sleep
-                // (epoll timeouts are whole milliseconds).
-                let wait_ms = until.as_millis().min(EPOLL_WAIT_CAP_MS) as i32;
                 self.tokens.clear();
-                let _ = ep.wait_tagged(wait_ms, &mut self.tokens);
+                let _ = ep.wait_tagged(until.min(EPOLL_WAIT_CAP), &mut self.tokens);
                 self.c_wakeups.inc();
-                if self.tokens.is_empty() {
-                    return;
-                }
-                // Dedup: 64 ready events on one engine's pool collapse to
-                // one drain (the drain empties every live pool socket).
-                self.tokens.sort_unstable();
-                self.tokens.dedup();
+                // Every registered socket has its own token and the kernel
+                // reports a ready socket once per wait: no token repeats.
                 let mut dispatched = 0u64;
-                for k in 0..self.tokens.len() {
-                    let (engine, class) = unpack_token(self.tokens[k]);
-                    let Some(class) = class else { continue };
+                for &token in &self.tokens {
+                    let (engine, Some(_)) = unpack_token(token) else {
+                        continue;
+                    };
                     let Some(node) = self.nodes.get_mut(engine) else {
                         continue;
                     };
-                    node.drain_class(
-                        class,
+                    node.drain_token(
+                        token,
                         &mut self.rx,
                         &mut self.scratch,
                         &self.send_socket,
@@ -427,12 +422,15 @@ pub fn spawn_shard(specs: Vec<ProcessSpec>) -> io::Result<(ShardHandle, Vec<Engi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{pack_token, ChannelClass, NetConfig};
+    use crate::runtime::{
+        pack_token, pool_token, token_port, ChannelClass, NetConfig, MAX_TOKEN_ENGINE,
+    };
     use crate::transport::{AddressBook, WellKnownSockets};
     use drum_core::config::GossipConfig;
     use drum_crypto::keys::KeyStore;
     use drum_testkit::prop::{check, Config, Gen};
     use drum_testkit::prop_assert;
+    use drum_trace::{Registry, Tracer};
 
     #[test]
     fn timer_wheel_pops_nondecreasing_with_index_tiebreak() {
@@ -502,10 +500,18 @@ mod tests {
 
     #[test]
     fn tokens_round_trip_engine_and_class() {
-        for engine in [0usize, 1, 63, 999, 100_000] {
+        for engine in [0usize, 1, 63, 999, 100_000, MAX_TOKEN_ENGINE] {
             for class in ChannelClass::ALL {
-                let (e, c) = unpack_token(pack_token(engine, class));
-                assert_eq!((e, c), (engine, Some(class)));
+                let token = pack_token(engine, class);
+                assert_eq!(unpack_token(token), (engine, Some(class)));
+                assert_eq!(token_port(token), 0);
+            }
+            // Pool tokens carry the socket's port above the engine bits
+            // without disturbing either field.
+            for port in [1u16, 40_000, 65_535] {
+                let token = pool_token(engine, port);
+                assert_eq!(unpack_token(token), (engine, Some(ChannelClass::Pool)));
+                assert_eq!(token_port(token), port);
             }
         }
         // Unused class codes decode to None instead of a bogus class.
@@ -513,7 +519,21 @@ mod tests {
         assert_eq!(unpack_token((5 << 3) | 6), (5, None));
     }
 
+    #[test]
+    #[should_panic(expected = "overflows a token")]
+    fn engine_past_45_bits_is_refused() {
+        pack_token(MAX_TOKEN_ENGINE + 1, ChannelClass::WkPull);
+    }
+
     fn shard_cluster(n: u64, round_ms: u64) -> (ShardHandle, Vec<EngineHandle>) {
+        shard_cluster_traced(n, round_ms, &Registry::new())
+    }
+
+    fn shard_cluster_traced(
+        n: u64,
+        round_ms: u64,
+        registry: &Registry,
+    ) -> (ShardHandle, Vec<EngineHandle>) {
         let key_store = KeyStore::new(41);
         let members: Vec<ProcessId> = (0..n).map(ProcessId).collect();
         let mut socks = Vec::new();
@@ -535,7 +555,8 @@ mod tests {
                 sockets,
                 ablation: None,
                 config: NetConfig::new(GossipConfig::drum())
-                    .with_round(Duration::from_millis(round_ms)),
+                    .with_round(Duration::from_millis(round_ms))
+                    .with_tracer(Tracer::disabled().with_registry(registry.clone())),
                 seed: seed_of(m),
             })
             .collect();
@@ -566,6 +587,34 @@ mod tests {
         for s in &stats {
             assert!(s.rounds > 0, "every engine must have run rounds: {s:?}");
         }
+    }
+
+    #[test]
+    fn idle_shard_blocks_between_deadlines() {
+        // Eight engines with nothing to publish still gossip control
+        // traffic every round; the loop should wake for round deadlines
+        // and the datagrams they trigger, a few times per engine-round.
+        // A loop that spins out the sub-millisecond remainder before each
+        // deadline wakes ~1,000 times per engine-round instead.
+        let registry = Registry::new();
+        let (shard, _engines) = shard_cluster_traced(8, 10, &registry);
+        let wakeups = registry.counter(names::SHARD_WAKEUPS);
+        let start = Instant::now();
+        std::thread::sleep(Duration::from_millis(400));
+        let stats = shard.shutdown();
+        let elapsed = start.elapsed();
+        let engine_rounds: u64 = stats.iter().map(|s| s.rounds).sum();
+        let min_rounds = stats.iter().map(|s| s.rounds).min().unwrap_or(0);
+        assert!(
+            min_rounds >= 20,
+            "every engine must run at least 20 rounds in {elapsed:?}: {min_rounds}"
+        );
+        let per_engine_round = wakeups.get() as f64 / engine_rounds as f64;
+        assert!(
+            per_engine_round <= 4.0,
+            "{} wakeups over {engine_rounds} engine-rounds = {per_engine_round:.1} per engine-round",
+            wakeups.get()
+        );
     }
 
     #[test]

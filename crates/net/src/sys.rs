@@ -8,7 +8,8 @@
 //! under a Figure-5-style flood. `recvmmsg(2)` moves up to [`BATCH`]
 //! datagrams per kernel crossing and `sendmmsg(2)` does the same for the
 //! encode-once fan-out, amortizing the fixed cost by ~64×; `epoll(7)` lets
-//! quiet rounds block instead of spinning a 1 ms sleep-poll.
+//! quiet rounds block until the exact round deadline instead of spinning
+//! a 1 ms sleep-poll.
 //!
 //! No libc is available in this hermetic workspace, so the syscalls are
 //! issued through `asm!` shims (x86-64 and aarch64 Linux). Following the
@@ -63,6 +64,8 @@ mod imp {
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
     use std::os::unix::io::AsRawFd;
+    use std::sync::OnceLock;
+    use std::time::Duration;
 
     // ---------------------------------------------------------------
     // Syscall numbers and constants.
@@ -76,6 +79,7 @@ mod imp {
         pub const EPOLL_CREATE1: usize = 291;
         pub const RECVMMSG: usize = 299;
         pub const SENDMMSG: usize = 307;
+        pub const EPOLL_PWAIT2: usize = 441;
     }
 
     #[cfg(target_arch = "aarch64")]
@@ -86,12 +90,15 @@ mod imp {
         pub const CLOSE: usize = 57;
         pub const RECVMMSG: usize = 243;
         pub const SENDMMSG: usize = 269;
+        pub const EPOLL_PWAIT2: usize = 441;
     }
 
     const AF_INET: u16 = 2;
     const MSG_DONTWAIT: u32 = 0x40;
+    const EPERM: isize = 1;
     const EAGAIN: i32 = 11;
     const EINTR: i32 = 4;
+    const ENOSYS: isize = 38;
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLLIN: u32 = 0x1;
 
@@ -560,13 +567,27 @@ mod imp {
         data: u64,
     }
 
-    /// A level-triggered epoll instance used as a round-loop sleep that
-    /// wakes the moment any registered socket becomes readable.
-    ///
-    /// The runtime never asks *which* sockets woke it — after a wake it
-    /// re-drains every socket until `WouldBlock`, exactly as the sleep-poll
-    /// loop did — so readiness events are deliberately discarded and the
-    /// accept/drop behavior stays identical to the fallback.
+    /// `struct __kernel_timespec` (64-bit seconds on every supported ABI).
+    #[repr(C)]
+    struct TimeSpec {
+        sec: i64,
+        nsec: i64,
+    }
+
+    /// Whether `epoll_pwait2` is usable: unset until the first wait finds
+    /// out, then fixed for the life of the process.
+    static PWAIT2: OnceLock<bool> = OnceLock::new();
+
+    /// `timeout` in whole milliseconds, rounded *up* so the millisecond
+    /// fallback never turns a pending sub-millisecond wait into a
+    /// non-blocking poll. Saturates at `i32::MAX`.
+    pub(super) fn ceil_millis(timeout: Duration) -> usize {
+        timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as usize
+    }
+
+    /// A level-triggered epoll instance: the round loops' sleep, which
+    /// wakes the moment any registered socket becomes readable or the
+    /// round deadline arrives, whichever is first.
     #[derive(Debug)]
     pub struct Epoll {
         fd: i32,
@@ -584,9 +605,11 @@ mod imp {
             check(ret).map(|fd| Epoll { fd: fd as i32 })
         }
 
-        /// Registers `socket` for readability wakeups. Sockets deregister
-        /// themselves when closed (the kernel removes a closed descriptor
-        /// from every epoll set), so there is no `del`.
+        /// Registers `socket` for readability wakeups under its own fd as
+        /// the event token (for callers that drain every socket after a
+        /// wake and ignore the tokens). Sockets deregister themselves when
+        /// closed (the kernel removes a closed descriptor from every epoll
+        /// set), so there is no `del`.
         ///
         /// # Errors
         ///
@@ -596,11 +619,10 @@ mod imp {
         }
 
         /// Registers `socket` for readability wakeups with an explicit
-        /// event token. The sharded runtime packs an engine index and a
-        /// channel class into the token so one `epoll_pwait` can route
-        /// each ready socket straight to the engine that owns it (see
-        /// [`Epoll::wait_tagged`]); [`Epoll::add`] is the untagged form
-        /// whose events are discarded.
+        /// event token. The sharded runtime packs an engine index, a
+        /// channel class and (for pool sockets) the bound port into the
+        /// token, so one wait can route each ready socket straight to the
+        /// engine and socket that own it (see [`Epoll::wait_tagged`]).
         ///
         /// # Errors
         ///
@@ -625,43 +647,20 @@ mod imp {
             check(ret).map(|_| ())
         }
 
-        /// Blocks until any registered socket is readable or `timeout_ms`
-        /// elapses. Returns the number of ready descriptors (possibly `0`
-        /// on timeout or interrupt); callers treat any return as "go drain
-        /// everything".
+        /// Blocks until any registered socket is readable or `timeout`
+        /// elapses, then appends the registration token of every ready
+        /// descriptor to `out`. One call surfaces at most 64 tokens;
+        /// level-triggered semantics re-report anything still readable on
+        /// the next call, so a shard serving thousands of sockets never
+        /// misses one — it just takes another wakeup.
         ///
-        /// # Errors
-        ///
-        /// Propagates kernel errors other than `EINTR`.
-        pub fn wait(&self, timeout_ms: i32) -> io::Result<usize> {
-            let mut events = [EpollEvent { events: 0, data: 0 }; 16];
-            // SAFETY: `events` is writable for 16 epoll_event entries;
-            // the null sigmask (arg 5) makes epoll_pwait behave as
-            // epoll_wait, which aarch64 does not expose directly.
-            let ret = unsafe {
-                syscall6(
-                    nr::EPOLL_PWAIT,
-                    self.fd as usize,
-                    events.as_mut_ptr() as usize,
-                    events.len(),
-                    timeout_ms as usize,
-                    0,
-                    0,
-                )
-            };
-            match check(ret) {
-                Ok(n) => Ok(n),
-                Err(e) if is_soft(&e) => Ok(0),
-                Err(e) => Err(e),
-            }
-        }
-
-        /// Like [`Epoll::wait`], but appends the registration token of
-        /// every ready descriptor to `out` so the caller can drain only
-        /// the sockets the kernel reported. One call surfaces at most 64
-        /// tokens; level-triggered semantics re-report anything still
-        /// readable on the next call, so a shard serving thousands of
-        /// sockets never misses one — it just takes another wakeup.
+        /// The wait is `epoll_pwait2(2)` with a nanosecond `timespec`, so
+        /// a sub-millisecond remainder blocks for exactly that long rather
+        /// than truncating to a non-blocking poll. Where the kernel (older
+        /// than 5.11) or a seccomp filter refuses it with `ENOSYS`/`EPERM`,
+        /// the process falls back once, for good, to `epoll_pwait` with
+        /// the timeout rounded up to whole milliseconds: a wake up to 1 ms
+        /// late, never a spin. A zero `timeout` is a non-blocking poll.
         ///
         /// Returns the number of tokens appended (`0` on timeout or
         /// interrupt).
@@ -669,22 +668,9 @@ mod imp {
         /// # Errors
         ///
         /// Propagates kernel errors other than `EINTR`.
-        pub fn wait_tagged(&self, timeout_ms: i32, out: &mut Vec<u64>) -> io::Result<usize> {
+        pub fn wait_tagged(&self, timeout: Duration, out: &mut Vec<u64>) -> io::Result<usize> {
             let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-            // SAFETY: `events` is writable for 64 epoll_event entries;
-            // null sigmask as in `wait`.
-            let ret = unsafe {
-                syscall6(
-                    nr::EPOLL_PWAIT,
-                    self.fd as usize,
-                    events.as_mut_ptr() as usize,
-                    events.len(),
-                    timeout_ms as usize,
-                    0,
-                    0,
-                )
-            };
-            match check(ret) {
+            match check(self.pwait(&mut events, timeout)) {
                 Ok(n) => {
                     for ev in events.iter().take(n) {
                         // By-value field copy: `data` may be unaligned in
@@ -696,6 +682,49 @@ mod imp {
                 }
                 Err(e) if is_soft(&e) => Ok(0),
                 Err(e) => Err(e),
+            }
+        }
+
+        /// Issues the wait: `epoll_pwait2` unless a previous call found it
+        /// refused, else `epoll_pwait` with the rounded-up timeout. The
+        /// null sigmask (arg 5) makes either behave like `epoll_wait`,
+        /// which aarch64 does not expose directly. Returns the raw result.
+        fn pwait(&self, events: &mut [EpollEvent], timeout: Duration) -> isize {
+            if *PWAIT2.get().unwrap_or(&true) {
+                let ts = TimeSpec {
+                    sec: timeout.as_secs().min(i64::MAX as u64) as i64,
+                    nsec: i64::from(timeout.subsec_nanos()),
+                };
+                // SAFETY: `events` is writable for `events.len()` entries
+                // and `ts` is a valid timespec alive across the call.
+                let ret = unsafe {
+                    syscall6(
+                        nr::EPOLL_PWAIT2,
+                        self.fd as usize,
+                        events.as_mut_ptr() as usize,
+                        events.len(),
+                        core::ptr::addr_of!(ts) as usize,
+                        0,
+                        0,
+                    )
+                };
+                if ret != -ENOSYS && ret != -EPERM {
+                    PWAIT2.get_or_init(|| true);
+                    return ret;
+                }
+                let _ = PWAIT2.set(false);
+            }
+            // SAFETY: as above; the timeout is a plain int.
+            unsafe {
+                syscall6(
+                    nr::EPOLL_PWAIT,
+                    self.fd as usize,
+                    events.as_mut_ptr() as usize,
+                    events.len(),
+                    ceil_millis(timeout),
+                    0,
+                    0,
+                )
             }
         }
     }
@@ -822,12 +851,11 @@ mod imp {
         }
 
         /// Unreachable on this target.
-        pub fn wait(&self, _timeout_ms: i32) -> io::Result<usize> {
-            Err(unsupported())
-        }
-
-        /// Unreachable on this target.
-        pub fn wait_tagged(&self, _timeout_ms: i32, _out: &mut Vec<u64>) -> io::Result<usize> {
+        pub fn wait_tagged(
+            &self,
+            _timeout: std::time::Duration,
+            _out: &mut Vec<u64>,
+        ) -> io::Result<usize> {
             Err(unsupported())
         }
     }
@@ -923,17 +951,62 @@ mod tests {
         let ep = Epoll::new().unwrap();
         ep.add(&rx).unwrap();
 
+        let mut tokens = Vec::new();
+
         // Quiet socket: wait should time out (allow generous slack).
         let t0 = Instant::now();
-        assert_eq!(ep.wait(30).unwrap(), 0);
+        assert_eq!(
+            ep.wait_tagged(Duration::from_millis(30), &mut tokens)
+                .unwrap(),
+            0
+        );
         assert!(t0.elapsed() >= Duration::from_millis(20));
 
         // Data pending: wait returns promptly with a ready fd.
         tx.send_to(b"wake", rx.local_addr().unwrap()).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         let t0 = Instant::now();
-        assert!(ep.wait(5_000).unwrap() >= 1);
+        assert!(ep.wait_tagged(Duration::from_secs(5), &mut tokens).unwrap() >= 1);
         assert!(t0.elapsed() < Duration::from_secs(1));
+        assert_eq!(tokens, vec![fd_of(&rx) as u64]);
+    }
+
+    #[test]
+    fn sub_millisecond_wait_blocks_for_its_full_timeout() {
+        // An idle epoll must sleep out a 300 us timeout rather than
+        // truncate it to a non-blocking poll (the 1 ms epoll_pwait
+        // fallback only ever rounds up, so the lower bound holds on both
+        // paths).
+        let (rx, _tx) = pair();
+        let ep = Epoll::new().unwrap();
+        ep.add(&rx).unwrap();
+        let mut tokens = Vec::new();
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            let n = ep
+                .wait_tagged(Duration::from_micros(300), &mut tokens)
+                .unwrap();
+            let slept = t0.elapsed();
+            assert_eq!(n, 0);
+            assert!(tokens.is_empty());
+            assert!(
+                slept >= Duration::from_micros(300),
+                "woke after {slept:?}, before the 300 us timeout"
+            );
+        }
+    }
+
+    #[test]
+    fn millisecond_fallback_rounds_up() {
+        assert_eq!(imp::ceil_millis(Duration::ZERO), 0);
+        assert_eq!(imp::ceil_millis(Duration::from_nanos(1)), 1);
+        assert_eq!(imp::ceil_millis(Duration::from_micros(300)), 1);
+        assert_eq!(imp::ceil_millis(Duration::from_millis(1)), 1);
+        assert_eq!(imp::ceil_millis(Duration::from_micros(1_001)), 2);
+        assert_eq!(
+            imp::ceil_millis(Duration::from_secs(1 << 40)),
+            i32::MAX as usize
+        );
     }
 
     #[test]

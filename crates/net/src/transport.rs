@@ -18,6 +18,7 @@ use std::sync::Arc;
 use drum_core::engine::{PortOracle, PortPurpose};
 use drum_core::ids::{ProcessId, Round};
 
+use crate::runtime::pool_token;
 use crate::sys;
 
 /// Batched datagram receiver with a per-datagram fallback.
@@ -369,16 +370,16 @@ impl WellKnownSockets {
 #[derive(Debug)]
 pub struct SocketPool {
     lifetime: u64,
-    sockets: Vec<(UdpSocket, PortPurpose, Round)>,
+    sockets: Vec<(UdpSocket, u16, PortPurpose, Round)>,
     /// Sockets that failed to bind (diagnostics).
     bind_failures: u64,
     /// Optional observability counter bumped per fresh port allocation.
     rotations: Option<drum_trace::Counter>,
     /// When set, fresh sockets register for readability wakeups here,
-    /// tagged with the token (if any) so a shard event loop can route the
-    /// wakeup back to the owning engine. Expired sockets deregister
-    /// themselves on close.
-    epoll: Option<(Arc<sys::Epoll>, Option<u64>)>,
+    /// tagged (if an engine index is set) with their own pool token so a
+    /// shard event loop can route the wakeup back to the owning engine's
+    /// socket. Expired sockets deregister themselves on close.
+    epoll: Option<(Arc<sys::Epoll>, Option<usize>)>,
 }
 
 impl SocketPool {
@@ -403,22 +404,22 @@ impl SocketPool {
     /// runtime's round loop wakes when a concealed reply port becomes
     /// readable. Closed (expired) sockets deregister themselves.
     pub fn set_epoll(&mut self, epoll: Arc<sys::Epoll>) {
-        for (socket, _, _) in &self.sockets {
+        for (socket, _, _, _) in &self.sockets {
             let _ = epoll.add(socket);
         }
         self.epoll = Some((epoll, None));
     }
 
     /// Like [`SocketPool::set_epoll`], but registers every current and
-    /// future pool socket under an explicit event token — the sharded
-    /// runtime's engine-index registration, so one shared `epoll_pwait`
-    /// can route a readable concealed port straight to the engine whose
-    /// pool owns it.
-    pub fn set_epoll_tagged(&mut self, epoll: Arc<sys::Epoll>, token: u64) {
-        for (socket, _, _) in &self.sockets {
-            let _ = epoll.add_tagged(socket, token);
+    /// future pool socket under its own `pool_token(engine, port)` — the
+    /// sharded runtime's registration, so one shared epoll wait routes a
+    /// readable concealed port straight to the engine and socket that own
+    /// it.
+    pub fn set_epoll_tagged(&mut self, epoll: Arc<sys::Epoll>, engine: usize) {
+        for (socket, port, _, _) in &self.sockets {
+            let _ = epoll.add_tagged(socket, pool_token(engine, *port));
         }
-        self.epoll = Some((epoll, Some(token)));
+        self.epoll = Some((epoll, Some(engine)));
     }
 
     /// Number of currently open random-port sockets.
@@ -435,23 +436,26 @@ impl SocketPool {
     pub fn expire(&mut self, now: Round) {
         let lifetime = self.lifetime;
         self.sockets
-            .retain(|(_, _, born)| now.since(*born) < lifetime);
+            .retain(|(_, _, _, born)| now.since(*born) < lifetime);
     }
 
-    /// Receives all pending datagrams from the pool, invoking
-    /// `f(purpose, payload)` for each. Datagrams move through `rx` —
-    /// batched `recvmmsg` or the per-datagram fallback, same arrival
-    /// order either way; `scratch` backs the fallback path. Returns the
-    /// number received.
+    /// Receives all pending datagrams from the pool — every socket, or
+    /// only the one bound to `port` — invoking `f(purpose, payload)` for
+    /// each. Datagrams move through `rx` — batched `recvmmsg` or the
+    /// per-datagram fallback, same arrival order either way; `scratch`
+    /// backs the fallback path. Returns the number received.
     pub fn drain(
         &mut self,
+        port: Option<u16>,
         rx: &mut BatchRx,
         scratch: &mut [u8],
         mut f: impl FnMut(PortPurpose, &[u8]),
     ) -> usize {
         let mut count = 0;
-        for (socket, purpose, _) in &self.sockets {
-            count += rx.drain_socket(socket, scratch, |bytes| f(*purpose, bytes));
+        for (socket, bound, purpose, _) in &self.sockets {
+            if port.is_none_or(|p| p == *bound) {
+                count += rx.drain_socket(socket, scratch, |bytes| f(*purpose, bytes));
+            }
         }
         count
     }
@@ -462,13 +466,13 @@ impl PortOracle for SocketPool {
         match bind_ephemeral() {
             Ok(socket) => {
                 let port = socket.local_addr().map(|a| a.port()).unwrap_or(0);
-                if let Some((epoll, token)) = &self.epoll {
-                    let _ = match token {
-                        Some(t) => epoll.add_tagged(&socket, *t),
+                if let Some((epoll, engine)) = &self.epoll {
+                    let _ = match engine {
+                        Some(e) => epoll.add_tagged(&socket, pool_token(*e, port)),
                         None => epoll.add(&socket),
                     };
                 }
-                self.sockets.push((socket, purpose, round));
+                self.sockets.push((socket, port, purpose, round));
                 if let Some(c) = &self.rotations {
                     c.inc();
                 }
@@ -483,9 +487,8 @@ impl PortOracle for SocketPool {
                 self.sockets
                     .iter()
                     .rev()
-                    .find(|(_, p, _)| *p == purpose)
-                    .and_then(|(s, _, _)| s.local_addr().ok())
-                    .map(|a| a.port())
+                    .find(|(_, _, p, _)| *p == purpose)
+                    .map(|(_, port, _, _)| *port)
                     .unwrap_or(0)
             }
         }
@@ -558,7 +561,7 @@ mod tests {
         let mut scratch = [0u8; 2048];
         let mut rx = BatchRx::new(2048);
         let mut got = Vec::new();
-        let n = pool.drain(&mut rx, &mut scratch, |purpose, bytes| {
+        let n = pool.drain(None, &mut rx, &mut scratch, |purpose, bytes| {
             got.push((purpose, bytes.to_vec()));
         });
         assert_eq!(n, 1);
@@ -568,12 +571,48 @@ mod tests {
     }
 
     #[test]
+    fn pool_drains_only_the_named_port() {
+        let mut pool = SocketPool::new(3);
+        let pull = pool.allocate_port(PortPurpose::PullReply, Round(1));
+        let push = pool.allocate_port(PortPurpose::PushReply, Round(1));
+        let sender = bind_ephemeral().unwrap();
+        sender
+            .send_to(b"pull", AddressBook::loopback(pull))
+            .unwrap();
+        sender
+            .send_to(b"push", AddressBook::loopback(push))
+            .unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let mut scratch = [0u8; 2048];
+        let mut rx = BatchRx::new(2048);
+        let mut got = Vec::new();
+        let mut take = |pool: &mut SocketPool, port| {
+            pool.drain(port, &mut rx, &mut scratch, |purpose, bytes| {
+                got.push((purpose, bytes.to_vec()));
+            })
+        };
+        // One recvmmsg on the named socket; the other stays queued.
+        assert_eq!(take(&mut pool, Some(push)), 1);
+        assert_eq!(take(&mut pool, Some(push)), 0);
+        assert_eq!(take(&mut pool, None), 1);
+        assert_eq!(
+            got,
+            vec![
+                (PortPurpose::PushReply, b"push".to_vec()),
+                (PortPurpose::PullReply, b"pull".to_vec()),
+            ]
+        );
+    }
+
+    #[test]
     fn drain_on_empty_pool_is_zero() {
         let mut pool = SocketPool::new(3);
         let mut scratch = [0u8; 64];
         let mut rx = BatchRx::new(64);
         assert_eq!(
-            pool.drain(&mut rx, &mut scratch, |_, _| panic!("no data expected")),
+            pool.drain(None, &mut rx, &mut scratch, |_, _| panic!(
+                "no data expected"
+            )),
             0
         );
     }

@@ -3,28 +3,37 @@
 //! Both runtimes drive the same [`NodeCore`] state machine; the only
 //! difference is *who* calls its methods — a dedicated thread draining
 //! every channel each poll iteration (`drain_all`), or a shard event loop
-//! dispatching epoll tokens channel by channel (`drain_class`). These
-//! tests drive two same-seed cores through both call patterns on identical
-//! hostile input — valid messages past the budget, wrong-purpose traffic,
-//! garbage, truncations — and require bit-identical decision counters.
-//! A divergence here would mean the multiplexed runtime changes protocol
-//! behavior, not just scheduling.
+//! waiting on a tagged epoll and draining only the socket each ready token
+//! names (`drain_token`) — one well-known channel, or one concealed pool
+//! port. These tests drive two same-seed cores through both call patterns
+//! on identical input — hostile traffic on the well-known ports (valid
+//! messages past the budget, wrong-purpose traffic, garbage, truncations)
+//! and valid replies on two live pool ports — and require bit-identical
+//! decision counters. A divergence here would mean the multiplexed runtime
+//! changes protocol behavior, not just scheduling.
 
 use std::net::UdpSocket;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drum_core::bytes::Bytes;
 use drum_core::config::GossipConfig;
 use drum_core::digest::Digest;
-use drum_core::ids::ProcessId;
-use drum_core::message::{GossipMessage, PortRef};
-use drum_crypto::keys::KeyStore;
+use drum_core::ids::{MessageId, ProcessId};
+use drum_core::message::{DataMessage, GossipMessage, PortRef};
+use drum_crypto::keys::{KeyStore, SecretKey};
 use drum_net::codec;
+use drum_net::runtime::{token_port, unpack_token};
+use drum_net::sys::Epoll;
 use drum_net::transport::{bind_ephemeral, AddressBook, WellKnownSockets};
 use drum_net::{
     BatchRx, BatchTx, ChannelClass, Delivery, NetConfig, NetStats, NodeCore, ProcessSpec,
 };
+
+/// Source of the data messages the pool replies carry: not a member, but
+/// its key is registered, so its messages authenticate and deliver.
+const SOURCE: u64 = 7;
 
 const SLOT_LEN: usize = codec::MAX_WIRE_LEN + 1;
 
@@ -62,14 +71,17 @@ fn hostile_mix(valid: impl Fn(u64) -> Vec<u8>, wrong: Vec<u8>) -> Vec<Vec<u8>> {
     seq
 }
 
-/// One node-under-test plus a silent peer, with everything the manual
-/// drivers need. The peer's sockets are bound (so sends succeed) but
-/// never read — the node's decisions depend only on what we inject.
+/// One node-under-test plus a scripted peer, with everything the manual
+/// drivers need. The peer never answers on its own: the test reads the
+/// node's requests off the peer's sockets only to learn which pool ports
+/// the node advertised, so the node's decisions depend only on what we
+/// inject.
 struct Rig {
     core: NodeCore,
     pull_addr: std::net::SocketAddr,
     push_addr: std::net::SocketAddr,
-    _peer: WellKnownSockets,
+    peer: WellKnownSockets,
+    source_key: SecretKey,
     send_socket: UdpSocket,
     rx: BatchRx,
     tx: BatchTx,
@@ -87,6 +99,7 @@ fn rig(seed: u64) -> Rig {
     let (peer, peer_addrs) = WellKnownSockets::bind().unwrap();
     let book = AddressBook::new(vec![(ProcessId(0), addrs), (ProcessId(1), peer_addrs)]);
     let my_key = key_store.register(0);
+    let source_key = key_store.register(SOURCE);
     let spec = ProcessSpec {
         me: ProcessId(0),
         members,
@@ -104,7 +117,8 @@ fn rig(seed: u64) -> Rig {
         core: NodeCore::new(spec, publish_rx, delivered_tx),
         pull_addr: addrs.pull,
         push_addr: addrs.push,
-        _peer: peer,
+        peer,
+        source_key,
         send_socket: bind_ephemeral().unwrap(),
         rx: BatchRx::new(SLOT_LEN),
         tx: BatchTx::new(),
@@ -123,6 +137,50 @@ impl Rig {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
+    }
+
+    /// The pool ports the node advertised this round: the reply ports of
+    /// the pull-request and push-offer it sent the peer at round start.
+    /// Ports are cleartext because the peer has no registered key.
+    fn advertised_ports(&self) -> (u16, u16) {
+        let read = |socket: &UdpSocket| -> u16 {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut buf = vec![0u8; SLOT_LEN];
+            loop {
+                match socket.recv_from(&mut buf) {
+                    Ok((len, _)) => match codec::decode(&buf[..len]) {
+                        Ok(GossipMessage::PullRequest {
+                            reply_port: PortRef::Plain(p),
+                            ..
+                        })
+                        | Ok(GossipMessage::PushOffer {
+                            reply_port: PortRef::Plain(p),
+                            ..
+                        }) => return p,
+                        other => panic!("unexpected datagram at the peer: {other:?}"),
+                    },
+                    Err(_) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Err(e) => panic!("the node never contacted its peer: {e}"),
+                }
+            }
+        };
+        (read(&self.peer.pull), read(&self.peer.push))
+    }
+
+    /// A valid pull-reply carrying message `seq` from [`SOURCE`].
+    fn pull_reply(&self, seq: u64) -> Vec<u8> {
+        let id = MessageId {
+            source: ProcessId(SOURCE),
+            seq,
+        };
+        let payload = Bytes::from(format!("pool payload {seq}").into_bytes());
+        codec::encode(&GossipMessage::PullReply {
+            from: ProcessId(1),
+            messages: vec![DataMessage::sign_new(&self.source_key, id, payload)],
+        })
+        .to_vec()
     }
 
     /// Total decisions recorded so far (every injected datagram lands in
@@ -157,6 +215,50 @@ fn decision_stats(mut s: NetStats) -> NetStats {
     s
 }
 
+/// Drives one round of the shared script: start the round, inject the
+/// well-known hostile mix plus a valid pull-reply into the node's
+/// pull-reply pool port, drain until every datagram is decided, then
+/// answer the push-offer on the push-reply pool port and drain again. The
+/// push-reply is sent only after the pull-reply is decided, so the data it
+/// pulls out of the node does not depend on the order the two pool ports
+/// are drained in. Returns the decision count after the round.
+fn script_round<F: FnMut(&mut Rig)>(
+    rig: &mut Rig,
+    round: u64,
+    decided: u64,
+    well_known: (&[Vec<u8>], &[Vec<u8>]),
+    dead_port: u16,
+    mut drain: F,
+) -> u64 {
+    let Rig {
+        core,
+        send_socket,
+        tx,
+        ..
+    } = rig;
+    core.start_round(send_socket, tx);
+    let (pull_reply_port, push_reply_port) = rig.advertised_ports();
+    rig.inject(rig.pull_addr, well_known.0);
+    rig.inject(rig.push_addr, well_known.1);
+    rig.inject(
+        AddressBook::loopback(pull_reply_port),
+        &[rig.pull_reply(round)],
+    );
+    let decided = decided + (well_known.0.len() + well_known.1.len()) as u64 + 1;
+    rig.wait_for_decisions(decided, &mut drain);
+    let push_reply = codec::encode(&GossipMessage::PushReply {
+        from: ProcessId(1),
+        digest: Digest::new(),
+        data_port: PortRef::Plain(dead_port),
+        nonce: round,
+    })
+    .to_vec();
+    rig.inject(AddressBook::loopback(push_reply_port), &[push_reply]);
+    rig.wait_for_decisions(decided + 1, &mut drain);
+    rig.core.finish_round();
+    decided + 1
+}
+
 #[test]
 fn per_thread_and_sharded_call_patterns_make_identical_decisions() {
     const ROUNDS: u64 = 4;
@@ -168,22 +270,13 @@ fn per_thread_and_sharded_call_patterns_make_identical_decisions() {
 
     let pulls = hostile_mix(|n| pull_request(n, dead_port), push_offer(99, dead_port));
     let pushes = hostile_mix(|n| push_offer(n, dead_port), pull_request(99, dead_port));
-    let per_round = (pulls.len() + pushes.len()) as u64;
 
     // Mode A: the per-thread runtime's order — start, drain every channel
-    // each poll iteration, finish.
+    // and every pool socket each poll iteration, finish.
     let mut a = rig(SEED);
+    let mut decided = 0;
     for r in 0..ROUNDS {
-        let Rig {
-            core,
-            send_socket,
-            tx,
-            ..
-        } = &mut a;
-        core.start_round(send_socket, tx);
-        a.inject(a.pull_addr, &pulls);
-        a.inject(a.push_addr, &pushes);
-        a.wait_for_decisions((r + 1) * per_round, |rig| {
+        decided = script_round(&mut a, r, decided, (&pulls, &pushes), dead_port, |rig| {
             let Rig {
                 core,
                 rx,
@@ -194,23 +287,20 @@ fn per_thread_and_sharded_call_patterns_make_identical_decisions() {
             } = rig;
             core.drain_all(rx, scratch, send_socket, tx);
         });
-        a.core.finish_round();
     }
 
-    // Mode B: the shard event loop's order — start, dispatch channel by
-    // channel in token drain order, finish.
+    // Mode B: the shard event loop's order — the core registers on a
+    // tagged epoll (pool sockets join it, one token per port, as they are
+    // bound), and each wait's ready tokens are dispatched one socket at a
+    // time.
     let mut b = rig(SEED);
+    let ep = Arc::new(Epoll::new().unwrap());
+    assert!(b.core.register_tagged(&ep, 0));
+    let mut tokens = Vec::new();
+    let mut pool_ports = Vec::new();
+    let mut decided = 0;
     for r in 0..ROUNDS {
-        let Rig {
-            core,
-            send_socket,
-            tx,
-            ..
-        } = &mut b;
-        core.start_round(send_socket, tx);
-        b.inject(b.pull_addr, &pulls);
-        b.inject(b.push_addr, &pushes);
-        b.wait_for_decisions((r + 1) * per_round, |rig| {
+        decided = script_round(&mut b, r, decided, (&pulls, &pushes), dead_port, |rig| {
             let Rig {
                 core,
                 rx,
@@ -219,12 +309,23 @@ fn per_thread_and_sharded_call_patterns_make_identical_decisions() {
                 tx,
                 ..
             } = rig;
-            for class in ChannelClass::ALL {
-                core.drain_class(class, rx, scratch, send_socket, tx);
+            tokens.clear();
+            ep.wait_tagged(Duration::from_millis(5), &mut tokens)
+                .unwrap();
+            for &token in &tokens {
+                if unpack_token(token).1 == Some(ChannelClass::Pool) {
+                    pool_ports.push(token_port(token));
+                }
+                core.drain_token(token, rx, scratch, send_socket, tx);
             }
         });
-        b.core.finish_round();
     }
+    // Both reply ports of every round were dispatched by their own token,
+    // each naming the port it drains.
+    assert!(
+        pool_ports.len() as u64 >= 2 * ROUNDS && !pool_ports.contains(&0),
+        "pool readiness was not reported per port: {pool_ports:?}"
+    );
 
     let stats_a = decision_stats(a.core.finalize(None));
     let stats_b = decision_stats(b.core.finalize(None));
@@ -232,11 +333,14 @@ fn per_thread_and_sharded_call_patterns_make_identical_decisions() {
         stats_a, stats_b,
         "per-thread and sharded dispatch diverged on identical input"
     );
-    // The hostile mix actually exercised every decision path.
+    // The script actually exercised every decision path.
     assert_eq!(stats_a.rounds, ROUNDS);
-    assert_eq!(stats_a.received, ROUNDS * 22); // 11 valid per channel
+    // 11 valid per well-known channel, plus the two pool replies.
+    assert_eq!(stats_a.received, ROUNDS * (22 + 2));
     assert_eq!(stats_a.port_mismatches, ROUNDS * 2);
     assert_eq!(stats_a.decode_errors, ROUNDS * 6);
+    assert_eq!(stats_a.delivered, ROUNDS);
+    assert_eq!(stats_a.auth_drops, 0);
     assert!(
         stats_a.budget_drops > 0,
         "budget never engaged: {stats_a:?}"

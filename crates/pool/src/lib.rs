@@ -376,7 +376,15 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // The flag is stored under the queue lock: a worker checks it and
+        // parks while holding that lock, so it either sees the flag or is
+        // already waiting when the notification below arrives. Stored
+        // outside the lock, a worker between its check and its `wait`
+        // would miss both and `join` would never return.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.available.notify_all();
         for handle in lock(&self.handles).drain(..) {
             let _ = handle.join();
@@ -501,6 +509,33 @@ mod tests {
     fn zero_jobs_is_a_noop() {
         let pool = Pool::new(2);
         pool.run(0, &|_| panic!("must not run"));
+    }
+
+    #[test]
+    fn dropping_fresh_pools_never_hangs() {
+        // A just-spawned worker may be between its shutdown check and its
+        // park when the pool is dropped; a lost wake-up there hangs `Drop`
+        // in `join`. Each drop is delayed by a different 0-60 us so the
+        // drops sweep across the worker's start-up, and the watchdog turns
+        // a hang into a failure.
+        const POOLS: u64 = 10_000;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let dropper = thread::spawn(move || {
+            for i in 0..POOLS {
+                let pool = Pool::new(2);
+                let delay = std::time::Duration::from_nanos(i * 7_919 % 60_000);
+                let start = std::time::Instant::now();
+                while start.elapsed() < delay {
+                    std::hint::spin_loop();
+                }
+                drop(pool);
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("dropping a 2-thread pool hung in join");
+        dropper.join().expect("the dropping thread panicked");
     }
 
     #[test]

@@ -37,6 +37,13 @@ phase_begin "cargo test -q --offline"
 cargo test -q --offline
 phase_end "test"
 
+# The end-to-end benchmark is a workspace of its own (e2ebench/), so the
+# workspace-wide `cargo test` above never reaches its unit tests: its
+# workload specs, statistics, layer accounting and report format.
+phase_begin "cargo test e2ebench"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+phase_end "e2ebench"
+
 # The crypto suite again with the 8-lane SHA-256 kernel ablated away:
 # every multiway MAC must stay bit- and counter-identical on the forced
 # single-block path (§20). Cheap (sub-second) and on the quick path so a
